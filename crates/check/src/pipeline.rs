@@ -266,11 +266,13 @@ fn path_between(program: &GlueProgram, from: u32, to: u32) -> Option<Vec<String>
     seen[from as usize] = true;
     while let Some(f) = queue.pop_front() {
         if f == to {
+            // `from` is the only visited function without a parent, so
+            // the chain ends exactly there.
             let mut path = vec![to];
             let mut cur = to;
-            while cur != from {
-                cur = parent[cur as usize].expect("BFS parent chain");
-                path.push(cur);
+            while let Some(p) = parent[cur as usize] {
+                path.push(p);
+                cur = p;
             }
             path.reverse();
             return Some(

@@ -41,8 +41,7 @@ use crate::{buffer_label, BufferPlans};
 use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
 use sage_runtime::race::{overlaps, union_intervals};
 use sage_runtime::{GlueProgram, Task};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// One verified race (or depth hazard) between two accesses.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -86,36 +85,75 @@ impl RaceAnalysis {
     }
 }
 
-/// Per-position shortest iteration-distance matrix: `dist[u][v] = Some(d)`
-/// means an event at position `u` in iteration `i` happens before an event
-/// at `v` in any iteration `>= i + d`.
+/// Capped happens-before closure: `layers[d]` holds, for each position
+/// `u`, the bitset of positions `v` with `dist(u, v) <= d`, where `dist`
+/// is the shortest iteration distance over the weighted edges. An event at
+/// `u` in iteration `i` then happens before one at `v` in any iteration
+/// `>= i + d`.
+///
+/// Queries only ever ask about distances up to the program's largest
+/// buffer delay `D` (every access sits at iteration `t* - delay`), so the
+/// closure stops at `D`: `D + 1` layers of `n`-bit rows, built sinks
+/// first over the strongly connected components of the weight-0
+/// subgraph. Members of one component reach each other at distance 0 and
+/// share one row. Cost: O((D+1)·(n+E)·n/64) word operations.
 struct HbGraph {
-    dist: Vec<Vec<Option<u32>>>,
+    /// Weight-0 component of each position: the row it reads.
+    comp: Vec<usize>,
+    /// 64-bit words per row.
+    words: usize,
+    /// `layers[d]`: one row per component, `words` words each.
+    layers: Vec<Vec<u64>>,
 }
 
 impl HbGraph {
-    fn new(adj: &[Vec<(usize, u32)>]) -> HbGraph {
-        let n = adj.len();
-        let mut dist = vec![vec![None; n]; n];
-        for (src, row) in dist.iter_mut().enumerate() {
-            // Dijkstra; weights are iteration distances (>= 0).
-            let mut heap = BinaryHeap::new();
-            row[src] = Some(0);
-            heap.push(Reverse((0u32, src)));
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if row[u] != Some(d) {
-                    continue;
-                }
-                for &(v, w) in &adj[u] {
-                    let nd = d.saturating_add(w);
-                    if row[v].is_none_or(|cur| nd < cur) {
-                        row[v] = Some(nd);
-                        heap.push(Reverse((nd, v)));
+    fn new(adj: &[Vec<(usize, u32)>], cap: u32) -> HbGraph {
+        let (comp, comps) = zero_weight_sccs(adj);
+        let words = adj.len().div_ceil(64);
+        let mut layers: Vec<Vec<u64>> = Vec::with_capacity(cap as usize + 1);
+        let mut row = vec![0u64; words];
+        for d in 0..=cap as usize {
+            // Layer `d` starts from layer `d - 1`: everything reachable
+            // within `d - 1` is reachable within `d`.
+            let mut layer = match layers.last() {
+                Some(prev) => prev.clone(),
+                None => vec![0u64; comps.len() * words],
+            };
+            // Tarjan's order: every weight-0 successor's component is
+            // complete in this layer before its predecessors are built.
+            for (c, members) in comps.iter().enumerate() {
+                row.copy_from_slice(&layer[c * words..(c + 1) * words]);
+                for &u in members {
+                    row[u / 64] |= 1 << (u % 64);
+                    for &(v, w) in &adj[u] {
+                        let (cv, w) = (comp[v], w as usize);
+                        let src = match w {
+                            0 if cv == c => continue,
+                            0 => &layer,
+                            _ if w > d => continue,
+                            _ => &layers[d - w],
+                        };
+                        for (dst, &bits) in row.iter_mut().zip(&src[cv * words..(cv + 1) * words]) {
+                            *dst |= bits;
+                        }
                     }
                 }
+                layer[c * words..(c + 1) * words].copy_from_slice(&row);
             }
+            layers.push(layer);
         }
-        HbGraph { dist }
+        HbGraph {
+            comp,
+            words,
+            layers,
+        }
+    }
+
+    /// Whether `dist(u, v) <= d`. `d` never exceeds the cap the graph was
+    /// built with.
+    fn within(&self, u: usize, v: usize, d: usize) -> bool {
+        let row = self.comp[u] * self.words;
+        self.layers[d][row + v / 64] >> (v % 64) & 1 == 1
     }
 
     /// Whether an access at position `u`, iteration `i`, is ordered (either
@@ -125,10 +163,77 @@ impl HbGraph {
             // The same task's invocations are serial across iterations.
             return i != j;
         }
-        let fwd = self.dist[u][v].is_some_and(|d| j - i >= d as i64);
-        let bwd = self.dist[v][u].is_some_and(|d| i - j >= d as i64);
+        let fwd = j >= i && self.within(u, v, (j - i) as usize);
+        let bwd = i >= j && self.within(v, u, (i - j) as usize);
         fwd || bwd
     }
+}
+
+/// Strongly connected components of the weight-0 edges, by an iterative
+/// Tarjan walk. Returns each position's component and the components'
+/// members, sinks first: every component comes after all the components
+/// its weight-0 edges reach.
+fn zero_weight_sccs(adj: &[Vec<(usize, u32)>]) -> (Vec<usize>, Vec<Vec<usize>>) {
+    const UNSEEN: usize = usize::MAX;
+    let n = adj.len();
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut comp = vec![0usize; n];
+    let mut comps: Vec<Vec<usize>> = Vec::new();
+    let mut next = 0usize;
+    // Explicit call stack: (position, next edge to look at).
+    let mut call: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        index[root] = next;
+        low[root] = next;
+        next += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        call.push((root, 0));
+        while let Some(top) = call.last_mut() {
+            let u = top.0;
+            if let Some(&(v, w)) = adj[u].get(top.1) {
+                top.1 += 1;
+                if w != 0 {
+                    continue;
+                }
+                if index[v] == UNSEEN {
+                    index[v] = next;
+                    low[v] = next;
+                    next += 1;
+                    stack.push(v);
+                    on_stack[v] = true;
+                    call.push((v, 0));
+                } else if on_stack[v] {
+                    low[u] = low[u].min(index[v]);
+                }
+                continue;
+            }
+            call.pop();
+            if let Some(&(parent, _)) = call.last() {
+                low[parent] = low[parent].min(low[u]);
+            }
+            if low[u] == index[u] {
+                let c = comps.len();
+                let mut members = Vec::new();
+                while let Some(x) = stack.pop() {
+                    on_stack[x] = false;
+                    comp[x] = c;
+                    members.push(x);
+                    if x == u {
+                        break;
+                    }
+                }
+                comps.push(members);
+            }
+        }
+    }
+    (comp, comps)
 }
 
 /// One access to a port version, at the representative version `t*`.
@@ -215,8 +320,11 @@ pub fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysis {
             }
         }
     }
-    let hb_lock = HbGraph::new(&lockstep);
-    let hb_prod = HbGraph::new(&product);
+    // Every access sits at iteration `t* - delay` for its port group's
+    // largest delay `t*`, so no query distance exceeds the largest delay.
+    let cap = program.buffers.iter().map(|b| b.delay).max().unwrap_or(0);
+    let hb_lock = HbGraph::new(&lockstep, cap);
+    let hb_prod = HbGraph::new(&product, cap);
 
     // ---- Access sets per (function, input-port group) ---------------
     let mut findings: Vec<RaceFinding> = Vec::new();
@@ -250,7 +358,9 @@ pub fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysis {
             let mut accesses: Vec<Access> = Vec::new();
             for &bid in &buffers {
                 let b = &program.buffers[bid as usize];
-                let plan = plans[bid as usize].as_ref().expect("filtered above");
+                let Some(plan) = &plans[bid as usize] else {
+                    continue;
+                };
                 for (i, row) in plan.pairs.iter().enumerate() {
                     let region = union_intervals(row.iter().map(|iv| iv.as_slice()));
                     if region.is_empty() {
@@ -274,7 +384,12 @@ pub fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysis {
                     });
                 }
             }
-            let first_plan = plans[buffers[0] as usize].as_ref().expect("filtered above");
+            let Some(first_plan) = buffers
+                .first()
+                .and_then(|&bid| plans[bid as usize].as_ref())
+            else {
+                continue;
+            };
             for j in 0..first_plan.dst.len() {
                 let region = union_intervals(
                     buffers
@@ -468,8 +583,11 @@ pub fn check(
 mod tests {
     use super::*;
     use crate::structure;
+    use proptest::prelude::*;
     use sage_model::{Properties, Striping};
     use sage_runtime::{FnRole, FunctionDescriptor, GlueProgram, LogicalBufferDesc};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[allow(clippy::too_many_arguments)]
     fn mk_fn(
@@ -718,5 +836,100 @@ mod tests {
             .expect("depth-conditional finding");
         assert!(!analysis.capped.is_empty());
         assert!(f.buffers.iter().any(|b| analysis.capped.contains(b)));
+    }
+
+    /// Test oracle: single-source shortest iteration distances (Dijkstra;
+    /// weights are iteration distances >= 0).
+    fn dijkstra(adj: &[Vec<(usize, u32)>], src: usize) -> Vec<Option<u32>> {
+        let mut dist = vec![None; adj.len()];
+        let mut heap = BinaryHeap::new();
+        dist[src] = Some(0);
+        heap.push(Reverse((0u32, src)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if dist[u] != Some(d) {
+                continue;
+            }
+            for &(v, w) in &adj[u] {
+                let nd = d.saturating_add(w);
+                if dist[v].is_none_or(|cur| nd < cur) {
+                    dist[v] = Some(nd);
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        dist
+    }
+
+    /// Asserts the capped closure agrees with the Dijkstra oracle on every
+    /// `(u, v, d <= cap)`, and `ordered` with the distance rule it encodes.
+    fn assert_matches_oracle(adj: &[Vec<(usize, u32)>], cap: u32) -> Result<(), String> {
+        let hb = HbGraph::new(adj, cap);
+        let dist: Vec<Vec<Option<u32>>> = (0..adj.len()).map(|u| dijkstra(adj, u)).collect();
+        for (u, row) in dist.iter().enumerate() {
+            for (v, &uv) in row.iter().enumerate() {
+                for d in 0..=cap {
+                    let want = uv.is_some_and(|x| x <= d);
+                    if hb.within(u, v, d as usize) != want {
+                        return Err(format!("dist({u}, {v}) <= {d}: oracle says {want}"));
+                    }
+                }
+                for i in 0..=cap as i64 {
+                    for j in 0..=cap as i64 {
+                        let want = if u == v {
+                            i != j
+                        } else {
+                            uv.is_some_and(|x| j - i >= x as i64)
+                                || dist[v][u].is_some_and(|x| i - j >= x as i64)
+                        };
+                        if hb.ordered(u, i, v, j) != want {
+                            return Err(format!("ordered({u}, {i}, {v}, {j}): oracle says {want}"));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn zero_weight_cycles_share_one_row() {
+        // 0 -> 1 -> 2 -> 0 at weight 0 (plus a self-loop), 2 -> 3 at
+        // weight 2, 3 -> 4 at weight 0, 4 -> 0 at weight 1.
+        let adj = vec![
+            vec![(1, 0), (0, 0)],
+            vec![(2, 0)],
+            vec![(0, 0), (3, 2)],
+            vec![(4, 0)],
+            vec![(0, 1)],
+        ];
+        let (comp, comps) = zero_weight_sccs(&adj);
+        assert_eq!(comp[0], comp[1]);
+        assert_eq!(comp[1], comp[2]);
+        assert_ne!(comp[2], comp[3]);
+        assert_eq!(comps.len(), 3);
+        let hb = HbGraph::new(&adj, 3);
+        assert!(hb.within(1, 0, 0) && !hb.within(1, 3, 1) && hb.within(1, 4, 2));
+        assert!(!hb.within(3, 1, 0) && hb.within(3, 1, 1));
+        assert_matches_oracle(&adj, 3).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Random graphs with weights 0..=3 — dense enough that zero-weight
+        /// cycles and self-loops are common — against the Dijkstra oracle.
+        #[test]
+        fn capped_closure_matches_dijkstra(
+            n in 1usize..=60,
+            edges in proptest::collection::vec((0usize..60, 0usize..60, 0u32..=3), 0..240),
+            cap in 0u32..=4,
+        ) {
+            let mut adj: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+            for (u, v, w) in edges {
+                adj[u % n].push((v % n, w));
+            }
+            let verdict = assert_matches_oracle(&adj, cap);
+            prop_assert!(verdict.is_ok(), "{:?} on {adj:?} (cap {cap})", verdict);
+        }
     }
 }

@@ -19,7 +19,7 @@ fn fixture_path(name: &str) -> String {
 fn check_golden(name: &str, actual: &str) {
     let path = fixture_path(&format!("{name}.expected"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, actual).unwrap();
+        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("{path}: {e}"));
         return;
     }
     let expected = std::fs::read_to_string(&path)

@@ -726,11 +726,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let exec = project
         .execute(&program, policy, &options, iters)
         .map_err(|e| e.to_string())?;
+    let secs_per_frame = match policy {
+        TimePolicy::Virtual => exec.secs_per_iteration(),
+        // The virtual makespan is 0 under the real clock.
+        TimePolicy::Real => exec.report.wall.as_secs_f64() / f64::from(iters.max(1)),
+    };
     println!(
         "ran `{}` on {nodes} nodes for {iters} iterations: {:.3} ms/data set \
          ({:?} clock), {} messages, {} KB moved\n",
         project.app.name,
-        exec.secs_per_iteration() * 1e3,
+        secs_per_frame * 1e3,
         policy,
         exec.report.metrics.total_messages(),
         exec.report.metrics.total_bytes() / 1024

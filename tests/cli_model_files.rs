@@ -188,3 +188,33 @@ fn sage_pipeline_rejects_over_deep_request() {
     );
     assert!(all.contains("SAGE060"), "{all}");
 }
+
+/// `sage run --real` times its summary by the wall clock: the virtual
+/// makespan is 0 under the real clock, so the per-data-set figure must
+/// not read `0.000 ms`.
+#[test]
+fn sage_run_real_reports_wall_time_per_data_set() {
+    let out = std::process::Command::new(common::sage_bin())
+        .args([
+            "run",
+            &common::model_path("fft2d_64.sexpr"),
+            "--nodes",
+            "2",
+            "--iters",
+            "2",
+            "--real",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let summary = stdout.lines().next().unwrap_or_default();
+    let ms: f64 = summary
+        .split(": ")
+        .nth(1)
+        .and_then(|rest| rest.split(" ms/data set").next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no ms/data set figure in `{summary}`"));
+    assert!(ms > 0.0, "{summary}");
+    assert!(summary.contains("(Real clock)"), "{summary}");
+}
